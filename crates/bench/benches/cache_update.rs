@@ -1,16 +1,206 @@
 //! Criterion bench: cost of the Algorithm 3 cache update as a function of the
 //! cache size N1 and the random-subset size N2 (the `O((N1 + N2)·d)` claim of
 //! Table I, and the cost side of the Figure 9 sensitivity study).
+//!
+//! Run with `cargo bench -p nscaching-bench --bench cache_update`; add
+//! `-- assert` to run only the weighted-selection gate.
+//!
+//! The `assert` target gates the refresh's selection kernel (steps 5–9):
+//! the Fenwick-tree `sample_without_replacement_weighted_into`, O(n + k·log
+//! n), against the retained sequential oracle, O(n·k), on softmax weights
+//! at the refresh design point n = N1 + N2 = 100, k = N1 = 50. Picks and
+//! RNG positions are hard-asserted identical on every bench input at any
+//! gate level; the speedup is gated by `NSC_WSAMPLE_MIN` (3× locally,
+//! relaxed in CI like the other bench gates). Records the
+//! `weighted_select` section of `BENCH_scoring.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nscaching::{CorruptionPolicy, NegativeSampler, NsCachingConfig, NsCachingSampler};
 use nscaching_kg::Triple;
-use nscaching_math::seeded_rng;
+use nscaching_math::{
+    sample_without_replacement_weighted_into, sample_without_replacement_weighted_reference,
+    seeded_rng, softmax_in_place, FenwickTree,
+};
 use nscaching_models::{build_model, ModelConfig, ModelKind};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 use std::hint::black_box;
+use std::time::Instant;
 
 const NUM_ENTITIES: usize = 2_000;
 const NUM_RELATIONS: usize = 20;
+
+/// The refresh design point: N1 = 50 kept of N1 + N2 = 100 candidates.
+const HEADLINE_N: usize = 100;
+const HEADLINE_K: usize = 50;
+/// (n, k) grid recorded alongside the headline.
+const SWEEP: [(usize, usize); 4] = [(20, 10), (100, 50), (200, 100), (1_000, 50)];
+/// Distinct weight vectors per grid point, cycled through by every pass.
+const INPUTS: usize = 256;
+
+/// Softmax weights over uniform scores spanning `spread` nats — the shape
+/// the refresh feeds the kernel.
+fn softmax_inputs(n: usize, spread: f64, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = seeded_rng(seed);
+    (0..INPUTS)
+        .map(|_| {
+            let mut w: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * spread).collect();
+            softmax_in_place(&mut w);
+            w
+        })
+        .collect()
+}
+
+/// Best-of-`samples` seconds for one pass over all inputs.
+fn best_seconds(samples: usize, mut pass: impl FnMut()) -> f64 {
+    pass(); // warm-up
+    let mut best = f64::INFINITY;
+    for _ in 0..samples {
+        let start = Instant::now();
+        pass();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// One grid point's measurements.
+struct Point {
+    n: usize,
+    k: usize,
+    fast_ns: f64,
+    sequential_ns: f64,
+    builds: u64,
+    fallbacks: u64,
+}
+
+impl Point {
+    fn speedup(&self) -> f64 {
+        self.sequential_ns / self.fast_ns
+    }
+}
+
+/// Time the Fenwick kernel and the sequential oracle at one (n, k), after
+/// asserting identical picks and RNG positions on every input. The tree's
+/// build and fallback counts cover the asserted calls.
+fn measure(n: usize, k: usize, samples: usize) -> Point {
+    let inputs = softmax_inputs(n, 12.0, 31 + n as u64 + k as u64);
+    let mut work = vec![0.0; n];
+    let (mut fast, mut oracle) = (Vec::new(), Vec::new());
+    let mut tree = FenwickTree::default();
+    let mut rng_fast = seeded_rng(77);
+    let mut rng_ref = seeded_rng(77);
+    for w in &inputs {
+        work.copy_from_slice(w);
+        sample_without_replacement_weighted_into(&mut rng_fast, &mut work, k, &mut fast, &mut tree);
+        work.copy_from_slice(w);
+        sample_without_replacement_weighted_reference(&mut rng_ref, &mut work, k, &mut oracle);
+        assert_eq!(
+            fast, oracle,
+            "the Fenwick kernel must make the oracle's picks at n={n} k={k}"
+        );
+    }
+    assert_eq!(
+        rng_fast.next_u64(),
+        rng_ref.next_u64(),
+        "the Fenwick kernel must consume the oracle's draws at n={n} k={k}"
+    );
+    let (builds, fallbacks) = (tree.builds(), tree.fallbacks());
+    let mut rng: StdRng = seeded_rng(78);
+    let secs_fast = best_seconds(samples, || {
+        for w in &inputs {
+            work.copy_from_slice(w);
+            sample_without_replacement_weighted_into(
+                &mut rng,
+                black_box(&mut work),
+                k,
+                &mut fast,
+                &mut tree,
+            );
+            black_box(fast.len());
+        }
+    });
+    let secs_ref = best_seconds(samples, || {
+        for w in &inputs {
+            work.copy_from_slice(w);
+            sample_without_replacement_weighted_reference(
+                &mut rng,
+                black_box(&mut work),
+                k,
+                &mut oracle,
+            );
+            black_box(oracle.len());
+        }
+    });
+    let per_call_ns = |secs: f64| secs * 1e9 / INPUTS as f64;
+    Point {
+        n,
+        k,
+        fast_ns: per_call_ns(secs_fast),
+        sequential_ns: per_call_ns(secs_ref),
+        builds,
+        fallbacks,
+    }
+}
+
+/// Acceptance gate: the Fenwick kernel ≥ `NSC_WSAMPLE_MIN`× the sequential
+/// oracle at the refresh design point. Records `BENCH_scoring.json`.
+fn assert_weighted_select(_c: &mut Criterion) {
+    let samples = 7;
+    let sweep: Vec<Point> = SWEEP.iter().map(|&(n, k)| measure(n, k, samples)).collect();
+    let headline = sweep
+        .iter()
+        .find(|p| p.n == HEADLINE_N && p.k == HEADLINE_K)
+        .expect("headline point is in the sweep");
+    let speedup = headline.speedup();
+    let min_speedup: f64 = std::env::var("NSC_WSAMPLE_MIN")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(3.0);
+
+    let mut rows = String::new();
+    for (i, p) in sweep.iter().enumerate() {
+        if i > 0 {
+            rows.push_str(",\n");
+        }
+        let Point {
+            n,
+            k,
+            fast_ns,
+            sequential_ns,
+            builds,
+            fallbacks,
+        } = p;
+        let s = p.speedup();
+        rows.push_str(&format!(
+            "    {{ \"n\": {n}, \"k\": {k}, \"fenwick_ns_per_call\": {fast_ns:.0}, \"sequential_ns_per_call\": {sequential_ns:.0}, \"fenwick_over_sequential_speedup\": {s:.2}, \"tree_builds\": {builds}, \"fallback_picks\": {fallbacks} }}"
+        ));
+        println!(
+            "weighted_select n={n} k={k}: Fenwick {fast_ns:.0} ns vs sequential {sequential_ns:.0} ns \
+             per call = {s:.2}x ({builds} builds, {fallbacks} fallback picks over {INPUTS} calls)"
+        );
+    }
+    println!(
+        "weighted_select headline n={HEADLINE_N} k={HEADLINE_K}: {speedup:.2}x (min {min_speedup}x)"
+    );
+
+    let section = format!(
+        "{{\n  \"kernel\": \"Fenwick-tree weighted sampling without replacement with a rounding-error guard band (O(n + k log n)) vs the sequential re-sum/re-scan loop (O(n k))\",\n  \"inputs\": \"{INPUTS} softmax vectors per point over uniform scores spanning 12 nats\",\n  \"sweep\": [\n{rows}\n  ],\n  \"headline\": {{\n    \"n\": {HEADLINE_N},\n    \"k\": {HEADLINE_K},\n    \"fenwick_over_sequential_speedup\": {speedup:.2},\n    \"min_required_speedup\": {min_speedup}\n  }},\n  \"note\": \"selection half of the NSCaching cache refresh (Algorithm 3 steps 5-9); picks and RNG positions are asserted identical to the retained oracle on the bench inputs and proptested in crates/math/tests/weighted_equivalence.rs. Gate NSC_WSAMPLE_MIN (relaxed in CI)\"\n}}"
+    );
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("BENCH_scoring.json");
+    if let Err(e) =
+        nscaching_bench::update_bench_section(&path, "scoring", "weighted_select", &section)
+    {
+        eprintln!("could not record BENCH_scoring.json at {path:?}: {e}");
+    }
+
+    assert!(
+        speedup >= min_speedup,
+        "the Fenwick kernel must be ≥{min_speedup}x the sequential oracle at n={HEADLINE_N} \
+         k={HEADLINE_K} (got {speedup:.2}x; override with NSC_WSAMPLE_MIN)"
+    );
+}
 
 fn bench_cache_update(c: &mut Criterion) {
     let model = build_model(
@@ -91,6 +281,6 @@ fn bench_lazy_update_schedule(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache_update, bench_lazy_update_schedule
+    targets = assert_weighted_select, bench_cache_update, bench_lazy_update_schedule
 }
 criterion_main!(benches);

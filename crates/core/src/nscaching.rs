@@ -12,7 +12,7 @@ use crate::strategy::{SampleStrategy, UpdateStrategy};
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
 use nscaching_math::{
     argmax, sample_distinct_uniform_into, sample_one_weighted,
-    sample_without_replacement_weighted_into, softmax_in_place, top_k_indices_into,
+    sample_without_replacement_weighted_into, softmax_in_place, top_k_indices_into, FenwickTree,
 };
 use nscaching_models::KgeModel;
 use rand::rngs::StdRng;
@@ -39,6 +39,9 @@ struct Scratch {
     random: Vec<usize>,
     /// The refreshed cache entry before it is copied over the old one.
     refreshed: Vec<EntityId>,
+    /// Prefix-sum tree of the importance-sampling refresh (Algorithm 3
+    /// steps 5-9).
+    tree: FenwickTree,
 }
 
 /// One shard's exclusively-owned slice of the NSCaching state: a head cache,
@@ -305,10 +308,13 @@ impl NsCachingSampler {
     }
 
     /// Algorithm 3 applied to one cache entry of one shard, writing the
-    /// refreshed entry back in place. Scoring the `N1 + N2` candidate pool
-    /// goes through the batched fast path, and every intermediate lives in
-    /// the shard's scratch, so a steady-state refresh performs no heap
-    /// allocation.
+    /// refreshed entry back in place. Scoring the `n = N1 + N2` candidate
+    /// pool goes through the batched fast path, O(n·d); the importance
+    /// selection of N1 of them costs O(n + N1·log n) through the scratch's
+    /// Fenwick tree and makes exactly the draws of the sequential O(N1·n)
+    /// loop (see `sample_without_replacement_weighted_into` for the error
+    /// bound, fallback and rebuild). Every intermediate lives in the shard's
+    /// scratch, so a steady-state refresh performs no heap allocation.
     fn refresh_entry(
         config: &NsCachingConfig,
         num_entities: usize,
@@ -345,6 +351,7 @@ impl NsCachingSampler {
                     &mut scratch.scores,
                     n1,
                     &mut scratch.kept,
+                    &mut scratch.tree,
                 );
             }
             UpdateStrategy::Top => top_k_indices_into(&scratch.scores, n1, &mut scratch.kept),

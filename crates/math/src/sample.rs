@@ -6,7 +6,12 @@
 //!   (Algorithm 3, step 2) — [`sample_distinct_uniform`];
 //! * importance sampling *without replacement* of `N1` entries proportionally
 //!   to `exp(score)` (Algorithm 3, steps 5–9) —
-//!   [`sample_without_replacement_weighted`];
+//!   [`sample_without_replacement_weighted`]. Its `_into` kernel makes the
+//!   exact draws of the sequential loop (kept as
+//!   [`sample_without_replacement_weighted_reference`]) in O(n + k·log n)
+//!   per call instead of O(n·k): a [`FenwickTree`] answers each pick, and a
+//!   rounding-error guard band sends the rare draw that lands next to a
+//!   prefix boundary back to the sequential body;
 //! * single weighted draws for the KBGAN generator and for the "IS sampling
 //!   from cache" ablation — [`sample_one_weighted`] / [`WeightedIndex`].
 //!
@@ -93,66 +98,281 @@ pub fn sample_without_replacement_weighted<R: Rng + ?Sized>(
 ) -> Vec<usize> {
     let mut scratch = weights.to_vec();
     let mut out = Vec::with_capacity(k.min(weights.len()));
-    sample_without_replacement_weighted_into(rng, &mut scratch, k, &mut out);
+    sample_without_replacement_weighted_into(
+        rng,
+        &mut scratch,
+        k,
+        &mut out,
+        &mut FenwickTree::default(),
+    );
     out
 }
 
-/// In-place variant of [`sample_without_replacement_weighted`].
+/// Picked entries are flagged with -1 so "remaining" = non-negative.
+const PICKED: f64 = -1.0;
+
+/// The tree is rebuilt once the remaining mass falls below this multiple of
+/// the error bound, so the guard band stays a sliver of every pick's range.
+const REBUILD_FACTOR: f64 = (1u64 << 20) as f64;
+
+/// Zero non-finite and negative weights; returns how many are positive.
+fn sanitize_weights(weights: &mut [f64]) -> usize {
+    let mut positive = 0;
+    for w in weights.iter_mut() {
+        if !w.is_finite() || *w <= 0.0 {
+            *w = 0.0;
+        } else {
+            positive += 1;
+        }
+    }
+    positive
+}
+
+/// The sequential kernel's per-pick total: the index-order sum of the
+/// remaining positive weights.
+fn remaining_total(weights: &[f64]) -> f64 {
+    weights.iter().filter(|w| **w > 0.0).sum()
+}
+
+/// The sequential kernel's per-pick scan: the first remaining index `j` with
+/// `u_{j-1} < w_j`, where `u` is reduced by every weight it passes.
+fn sequential_pick(weights: &[f64], mut u: f64) -> usize {
+    for (i, &w) in weights.iter().enumerate() {
+        if w > 0.0 {
+            if u < w {
+                return i;
+            }
+            u -= w;
+        }
+    }
+    // Floating-point slack: fall back to the last positive weight.
+    weights
+        .iter()
+        .rposition(|w| *w > 0.0)
+        .expect("a positive weight remains")
+}
+
+/// Uniform among the not-yet-picked indices (all remaining weights are 0).
+fn uniform_unpicked<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+    let remaining = weights.iter().filter(|w| **w >= 0.0).count();
+    let target = rng.gen_range(0..remaining);
+    weights
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| **w >= 0.0)
+        .nth(target)
+        .map(|(i, _)| i)
+        .expect("remaining count matches filter")
+}
+
+/// The reference kernel for [`sample_without_replacement_weighted_into`]:
+/// the literal sequential loop of Algorithm 3, which re-sums and re-scans
+/// all `n` weights for each of its `k` picks — O(n·k) per call.
 ///
-/// `weights` is consumed as working storage: non-finite and negative entries
-/// are zeroed up front and picked entries are marked with a negative
-/// sentinel, so the call performs no heap allocation once `out` has grown to
-/// capacity `k`. This is what the NSCaching cache refresh uses on its hot
-/// path, where the weights buffer is a reusable scratch anyway.
-pub fn sample_without_replacement_weighted_into<R: Rng + ?Sized>(
+/// It defines the draws the fast kernel must reproduce (same picks, same
+/// RNG consumption) and is kept as its test and bench oracle. Same working
+/// storage contract as the fast kernel; allocation-free once `out` has
+/// grown to capacity `k`.
+pub fn sample_without_replacement_weighted_reference<R: Rng + ?Sized>(
     rng: &mut R,
     weights: &mut [f64],
     k: usize,
     out: &mut Vec<usize>,
 ) {
     out.clear();
-    let n = weights.len();
-    let k = k.min(n);
-    for w in weights.iter_mut() {
-        if !w.is_finite() || *w <= 0.0 {
-            *w = 0.0;
+    let k = k.min(weights.len());
+    sanitize_weights(weights);
+    for _ in 0..k {
+        let total = remaining_total(weights);
+        let idx = if total > 0.0 {
+            sequential_pick(weights, rng.gen_range(0.0..total))
+        } else {
+            uniform_unpicked(rng, weights)
+        };
+        weights[idx] = PICKED;
+        out.push(idx);
+    }
+}
+
+/// Working storage for [`sample_without_replacement_weighted_into`]: a
+/// Fenwick (binary indexed) tree over the remaining weights.
+///
+/// Keep one per hot loop and pass it to every call; it grows to the largest
+/// `n` seen and is reused afterwards, so a steady-state call allocates
+/// nothing. It also counts how often the kernel built the tree and how many
+/// picks it handed to the sequential fallback.
+#[derive(Debug, Clone, Default)]
+pub struct FenwickTree {
+    /// 1-based node sums over the weights padded with zeros to a power of
+    /// two; `nodes[i]` covers the weights `i - lowbit(i) .. i` (0-based,
+    /// half-open). `nodes[0]` is unused.
+    nodes: Vec<f64>,
+    builds: u64,
+    fallbacks: u64,
+}
+
+impl FenwickTree {
+    /// Tree (re)builds so far: one at the first weighted pick of every call,
+    /// plus one per mid-call rebuild.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// Picks so far that the guard band handed to the sequential body.
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
+    /// Build over the positive entries of `weights` (others count as 0) in
+    /// O(n), padded with zeros to a power-of-two size so the descent needs
+    /// no bounds checks. Returns the index-order sum of the positive
+    /// entries — bit for bit the sequential kernel's total.
+    fn build(&mut self, weights: &[f64]) -> f64 {
+        let size = weights.len().next_power_of_two();
+        let mut total = 0.0;
+        self.nodes.clear();
+        self.nodes.push(0.0);
+        self.nodes.extend(weights.iter().map(|&w| {
+            if w > 0.0 {
+                total += w;
+                w
+            } else {
+                0.0
+            }
+        }));
+        self.nodes.resize(size + 1, 0.0);
+        for i in 1..size {
+            let parent = i + (i & i.wrapping_neg());
+            self.nodes[parent] += self.nodes[i];
+        }
+        self.builds += 1;
+        total
+    }
+
+    /// Lift to `target`: the 0-based index `j` of the first entry whose
+    /// prefix sum exceeds `target`, together with the prefix sum of the
+    /// entries before `j`. The root is skipped, so a `target` at or past the
+    /// total yields the last slot, whose upper boundary the guard rejects.
+    fn descend(&self, target: f64) -> (usize, f64) {
+        let size = self.nodes.len() - 1;
+        let mut pos = 0;
+        let mut before = 0.0;
+        let mut step = size / 2;
+        while step > 0 {
+            let lifted = before + self.nodes[pos + step];
+            // Branch-free: the comparison is a coin flip on every level.
+            let take = lifted <= target;
+            pos = if take { pos + step } else { pos };
+            before = if take { lifted } else { before };
+            step >>= 1;
+        }
+        (pos, before)
+    }
+
+    /// Subtract `w` from every node covering entry `idx`.
+    fn remove(&mut self, idx: usize, w: f64) {
+        let size = self.nodes.len() - 1;
+        let mut i = idx + 1;
+        while i <= size {
+            self.nodes[i] -= w;
+            i += i & i.wrapping_neg();
         }
     }
-    // Picked entries are flagged with -1 so "remaining" = non-negative.
-    const PICKED: f64 = -1.0;
+
+    /// The tree's pick for `target`, if it clears both of its prefix
+    /// boundaries by more than `delta`; `None` hands the pick to the
+    /// sequential body.
+    fn guarded_pick(&self, weights: &[f64], target: f64, delta: f64) -> Option<usize> {
+        let (j, before) = self.descend(target);
+        let w = *weights.get(j)?;
+        (w > 0.0 && target - before > delta && (before + w) - target > delta).then_some(j)
+    }
+}
+
+/// In-place variant of [`sample_without_replacement_weighted`], making
+/// exactly the draws of the sequential reference kernel
+/// ([`sample_without_replacement_weighted_reference`]) in O(n + k·log n)
+/// instead of O(n·k).
+///
+/// `weights` is consumed as working storage: non-finite and negative entries
+/// are zeroed up front and picked entries are marked with a negative
+/// sentinel. With `tree` reused across calls, the call performs no heap
+/// allocation once `out` has grown to capacity `k`. This is what the
+/// NSCaching cache refresh uses on its hot path.
+///
+/// **Exactness.** Each weighted pick draws one `unit ∈ [0, 1)` — the draw
+/// behind `gen_range(0.0..total)`, which computes `0.0 + unit·(total − 0.0)`,
+/// i.e. `unit·total` bit for bit. The sequential kernel then picks the first
+/// `j` with `u_{j−1} < w_j` on the chain `u_0 = unit·T`, `u_j = u_{j−1} − w_j`,
+/// where `T` is the index-order sum of the remaining weights. Here a Fenwick
+/// tree built in O(n) answers the same question in O(log n): lift to the
+/// prefix containing `unit·R`, where `R` is the running total (the total at
+/// the last build minus the weights picked since), then subtract the picked
+/// weight from the tree. `T`, `R`, the chain and the tree's prefixes all
+/// differ from their exact real values by rounding errors bounded by
+///
+/// `δ = 4·(n + (k+8)·(⌈log2 n⌉+1))·ε·T0`,
+///
+/// where `T0` is the total at the last (re)build and `ε` is machine epsilon:
+/// `n` covers the sums over all entries (`T`, `T0`, the chain), `k` the
+/// subtractions since the build (from `R` and from each of the ≤ ⌈log2 n⌉+1
+/// nodes a prefix reads), and the constants the few roundings of each draw
+/// and comparison. So when the tree's pick clears both of its prefix
+/// boundaries by more than `δ`, every comparison of the sequential chain
+/// comes out the same way and the pick is the sequential pick. Otherwise
+/// (the draw lands within `δ` of a boundary) the pick falls back to the
+/// sequential body — exact total, then the chain — with the same `unit`.
+/// When the remaining mass falls below `2^20·δ` the tree is rebuilt over
+/// the remaining weights, which resets `T0` and with it `δ`; a total that
+/// overflows or is subnormal (where rounding is no longer relative) sends
+/// every pick of the call to the sequential body. Once no positive weight
+/// remains, slots are filled uniformly exactly as the reference does.
+pub fn sample_without_replacement_weighted_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    weights: &mut [f64],
+    k: usize,
+    out: &mut Vec<usize>,
+    tree: &mut FenwickTree,
+) {
+    out.clear();
+    let n = weights.len();
+    let k = k.min(n);
+    let mut positive = sanitize_weights(weights);
+    let levels = f64::from(n.next_power_of_two().ilog2() + 1);
+    // δ = bound·T0; the tree only pays off while 2^20·δ < T0.
+    let bound = 4.0 * (n as f64 + (k as f64 + 8.0) * levels) * f64::EPSILON;
+    let mut sequential_only = REBUILD_FACTOR * bound >= 1.0;
+    let mut built = false;
+    let mut mass = 0.0;
+    let mut delta = 0.0;
     for _ in 0..k {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        let idx = if total > 0.0 {
-            let mut u = rng.gen_range(0.0..total);
-            let mut chosen = None;
-            for (i, &w) in weights.iter().enumerate() {
-                if w > 0.0 {
-                    if u < w {
-                        chosen = Some(i);
-                        break;
-                    }
-                    u -= w;
-                }
-            }
-            // Floating-point slack: fall back to the last positive weight.
-            chosen.unwrap_or_else(|| {
-                weights
-                    .iter()
-                    .rposition(|w| *w > 0.0)
-                    .expect("total > 0 implies a positive weight")
-            })
+        if positive == 0 {
+            let idx = uniform_unpicked(rng, weights);
+            weights[idx] = PICKED;
+            out.push(idx);
+            continue;
+        }
+        if !sequential_only && (!built || mass < REBUILD_FACTOR * delta) {
+            mass = tree.build(weights);
+            built = true;
+            delta = bound * mass;
+            sequential_only = !(mass.is_finite() && mass >= f64::MIN_POSITIVE);
+        }
+        let unit: f64 = rng.gen();
+        let fast = if sequential_only {
+            None
         } else {
-            // Uniform among the not-yet-picked indices.
-            let remaining = weights.iter().filter(|w| **w >= 0.0).count();
-            let target = rng.gen_range(0..remaining);
-            weights
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| **w >= 0.0)
-                .nth(target)
-                .map(|(i, _)| i)
-                .expect("remaining count matches filter")
+            tree.guarded_pick(weights, unit * mass, delta)
         };
+        let idx = fast.unwrap_or_else(|| {
+            tree.fallbacks += u64::from(!sequential_only);
+            sequential_pick(weights, unit * remaining_total(weights))
+        });
+        if !sequential_only {
+            tree.remove(idx, weights[idx]);
+            mass -= weights[idx];
+        }
+        positive -= 1;
         weights[idx] = PICKED;
         out.push(idx);
     }

@@ -157,14 +157,17 @@ impl ModelSnapshot {
         let dim = r.u64("model dim")? as usize;
         let num_entities = r.u64("entity count")? as usize;
         let num_relations = r.u64("relation count")? as usize;
-        let n_tables = r.u32("table count")?;
-        let mut tables = Vec::with_capacity(n_tables as usize);
+        let n_tables = r.u32("table count")? as usize;
+        // Each table costs ≥ 28 bytes (name length, rows, dim, slab count),
+        // so a crafted count cannot reserve more than the payload backs.
+        guard_count(r, n_tables, 28, "model tables")?;
+        let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
             let name = r.str("table name")?;
             let rows = r.u64("table rows")? as usize;
             let dim = r.u64("table dim")? as usize;
             let data = r.f64_slice("table slab")?;
-            if data.len() != rows * dim {
+            if rows.checked_mul(dim) != Some(data.len()) {
                 return Err(SnapshotError::Corrupt(format!(
                     "table {name:?} slab holds {} values, expected {rows}×{dim}",
                     data.len()

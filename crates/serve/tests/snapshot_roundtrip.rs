@@ -8,6 +8,7 @@ use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
+use nscaching_serve::format::{write_frame, Writer};
 use nscaching_serve::{
     load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, ModelSnapshot,
     SnapshotError,
@@ -319,6 +320,72 @@ fn zeroed_rng_state_with_valid_checksum_fails_typed_not_panicking() {
         ),
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Save a small TransE model, let `mutate` rewrite its payload (which
+/// starts at byte 20), re-seal the checksum and load the model section.
+fn load_resealed_model(name: &str, mutate: impl FnOnce(&mut [u8])) -> Result<(), SnapshotError> {
+    let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(4), 20, 3);
+    let path = tempfile(name);
+    save_model(&path, model.as_ref()).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let payload_end = bytes.len() - 8;
+    mutate(&mut bytes[20..payload_end]);
+    let checksum = nscaching_serve::format::fnv1a64(&bytes[20..payload_end]);
+    bytes[payload_end..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let result = load_model(&path).map(drop);
+    std::fs::remove_file(&path).ok();
+    result
+}
+
+/// Payload offset of the model section's table count: section tag (1) +
+/// section length (8), then kind (1) + dim, entities, relations (3 × 8).
+const TABLE_COUNT_AT: usize = 1 + 8 + 1 + 3 * 8;
+
+#[test]
+fn a_crafted_table_count_fails_typed_instead_of_aborting() {
+    // A checksum-consistent file claiming 2^32 − 1 tables used to reserve
+    // ~275 GB up front and abort the process.
+    let result = load_resealed_model("table-count", |payload| {
+        payload[TABLE_COUNT_AT..TABLE_COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    assert!(
+        matches!(result, Err(SnapshotError::Truncated { .. })),
+        "expected a typed Truncated error, got {:?}",
+        result.err().map(|e| e.to_string())
+    );
+}
+
+#[test]
+fn an_overflowing_table_shape_fails_typed() {
+    // One table of 2^63 × 2 values over an empty slab: the unchecked
+    // product wraps to 0 and used to accept it as a consistent table.
+    let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(4), 20, 3);
+    let path = tempfile("table-shape");
+    save_model(&path, model.as_ref()).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    let mut body = Writer::new();
+    // Kind, dim and vocabulary sizes as saved; then the crafted table.
+    body.raw(&saved[20 + 9..20 + TABLE_COUNT_AT]);
+    body.u32(1);
+    body.str("entity");
+    body.u64(1 << 63);
+    body.u64(2);
+    body.f64_slice(&[]);
+    let body = body.into_payload();
+    let mut payload = Writer::new();
+    payload.u8(saved[20]);
+    payload.u64(body.len() as u64);
+    payload.raw(&body);
+    write_frame(&path, &payload.into_payload()).unwrap();
+    let result = load_model(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(result, Err(SnapshotError::Corrupt(_))),
+        "expected a typed Corrupt error, got {:?}",
+        result.map(|m| m.tables.len()).map_err(|e| e.to_string())
+    );
 }
 
 #[test]
