@@ -29,9 +29,22 @@ impl ComplEx {
         dim: usize,
         rng: &mut R,
     ) -> Self {
+        Self::from_tables(
+            EmbeddingTable::xavier("entity", num_entities, 2 * dim, rng),
+            EmbeddingTable::xavier("relation", num_relations, 2 * dim, rng),
+            dim,
+        )
+    }
+
+    /// Wrap existing `2·dim`-wide tables as they are (no initialisation).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
         Self {
-            entities: EmbeddingTable::xavier("entity", num_entities, 2 * dim, rng),
-            relations: EmbeddingTable::xavier("relation", num_relations, 2 * dim, rng),
+            entities,
+            relations,
             dim,
         }
     }

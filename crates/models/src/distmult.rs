@@ -24,9 +24,22 @@ impl DistMult {
         dim: usize,
         rng: &mut R,
     ) -> Self {
+        Self::from_tables(
+            EmbeddingTable::xavier("entity", num_entities, dim, rng),
+            EmbeddingTable::xavier("relation", num_relations, dim, rng),
+            dim,
+        )
+    }
+
+    /// Wrap existing tables as they are (no initialisation).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
         Self {
-            entities: EmbeddingTable::xavier("entity", num_entities, dim, rng),
-            relations: EmbeddingTable::xavier("relation", num_relations, dim, rng),
+            entities,
+            relations,
             dim,
         }
     }

@@ -67,6 +67,34 @@ impl EmbeddingTable {
         }
     }
 
+    /// Wrap an existing row-major buffer (e.g. a decoded snapshot slab) as a
+    /// table, moving it in without copying. Errors unless `dim > 0` and
+    /// `data` holds exactly `rows × dim` values.
+    pub fn from_data(
+        name: impl Into<String>,
+        rows: usize,
+        dim: usize,
+        data: Vec<f64>,
+    ) -> Result<Self, String> {
+        let name = name.into();
+        if dim == 0 {
+            return Err(format!("table {name:?} has dimension 0"));
+        }
+        if rows.checked_mul(dim) != Some(data.len()) {
+            return Err(format!(
+                "table {name:?} slab holds {} values, expected {rows}×{dim}",
+                data.len()
+            ));
+        }
+        Ok(Self {
+            name,
+            rows,
+            dim,
+            data,
+            version: 1,
+        })
+    }
+
     /// Table name (used in diagnostics and serialisation).
     pub fn name(&self) -> &str {
         &self.name
@@ -165,6 +193,16 @@ impl EmbeddingTable {
 mod tests {
     use super::*;
     use nscaching_math::seeded_rng;
+
+    #[test]
+    fn from_data_moves_a_slab_in_and_rejects_bad_shapes() {
+        let t = EmbeddingTable::from_data("ent", 2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        assert_eq!(t.row(1), &[4.0, 5.0, 6.0]);
+        assert_eq!(t.version(), 1);
+        assert!(EmbeddingTable::from_data("ent", 2, 3, vec![0.0; 5]).is_err());
+        assert!(EmbeddingTable::from_data("ent", 0, 0, Vec::new()).is_err());
+        assert!(EmbeddingTable::from_data("ent", usize::MAX, 2, Vec::new()).is_err());
+    }
 
     #[test]
     fn zeros_table_shape_and_access() {

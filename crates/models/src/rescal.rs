@@ -30,9 +30,22 @@ impl Rescal {
         dim: usize,
         rng: &mut R,
     ) -> Self {
+        Self::from_tables(
+            EmbeddingTable::xavier("entity", num_entities, dim, rng),
+            EmbeddingTable::xavier("relation_matrix", num_relations, dim * dim, rng),
+            dim,
+        )
+    }
+
+    /// Wrap existing tables as they are (no initialisation).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        matrices: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
         Self {
-            entities: EmbeddingTable::xavier("entity", num_entities, dim, rng),
-            matrices: EmbeddingTable::xavier("relation_matrix", num_relations, dim * dim, rng),
+            entities,
+            matrices,
             dim,
         }
     }

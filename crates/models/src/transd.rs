@@ -65,18 +65,35 @@ impl TransD {
         dim: usize,
         rng: &mut R,
     ) -> Self {
-        let mut model = Self {
-            entities: EmbeddingTable::xavier("entity", num_entities, dim, rng),
-            relations: EmbeddingTable::xavier("relation", num_relations, dim, rng),
-            entity_proj: EmbeddingTable::xavier("entity_proj", num_entities, dim, rng),
-            relation_proj: EmbeddingTable::xavier("relation_proj", num_relations, dim, rng),
+        let mut model = Self::from_tables(
+            EmbeddingTable::xavier("entity", num_entities, dim, rng),
+            EmbeddingTable::xavier("relation", num_relations, dim, rng),
+            EmbeddingTable::xavier("entity_proj", num_entities, dim, rng),
+            EmbeddingTable::xavier("relation_proj", num_relations, dim, rng),
             dim,
-            cache_id: next_projection_model_id(),
-        };
+        );
         for i in 0..num_entities {
             model.entities.project_row(i);
         }
         model
+    }
+
+    /// Wrap existing tables as they are (no initialisation, no projection).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        entity_proj: EmbeddingTable,
+        relation_proj: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            entity_proj,
+            relation_proj,
+            dim,
+            cache_id: next_projection_model_id(),
+        }
     }
 
     /// Residual `u = h + (w_h·h)·w_r + r − t − (w_t·t)·w_r` plus the scalars

@@ -24,16 +24,29 @@ impl TransE {
         dim: usize,
         rng: &mut R,
     ) -> Self {
-        let mut model = Self {
-            entities: EmbeddingTable::xavier("entity", num_entities, dim, rng),
-            relations: EmbeddingTable::xavier("relation", num_relations, dim, rng),
+        let mut model = Self::from_tables(
+            EmbeddingTable::xavier("entity", num_entities, dim, rng),
+            EmbeddingTable::xavier("relation", num_relations, dim, rng),
             dim,
-        };
+        );
         // TransE constrains entity embeddings to the unit ball from the start.
         for i in 0..num_entities {
             model.entities.project_row(i);
         }
         model
+    }
+
+    /// Wrap existing tables as they are (no initialisation, no projection).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            dim,
+        }
     }
 
     /// Residual vector `h + r − t`.

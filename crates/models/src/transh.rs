@@ -35,16 +35,26 @@ impl TransH {
         let relations = EmbeddingTable::xavier("relation", num_relations, dim, rng);
         let mut normals = EmbeddingTable::xavier("relation_normal", num_relations, dim, rng);
         normals.normalize_rows();
-        let mut model = Self {
-            entities,
-            relations,
-            normals,
-            dim,
-        };
+        let mut model = Self::from_tables(entities, relations, normals, dim);
         for i in 0..num_entities {
             model.entities.project_row(i);
         }
         model
+    }
+
+    /// Wrap existing tables as they are (no initialisation, no projection).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        normals: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            normals,
+            dim,
+        }
     }
 
     /// Residual on the relation hyperplane:

@@ -98,17 +98,27 @@ impl TransR {
                 row[i * dim + i] += 1.0;
             }
         }
-        let mut model = Self {
+        let mut model = Self::from_tables(entities, relations, matrices, dim);
+        for i in 0..num_entities {
+            model.entities.project_row(i);
+        }
+        model
+    }
+
+    /// Wrap existing tables as they are (no initialisation, no projection).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        matrices: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
             entities,
             relations,
             matrices,
             dim,
             cache_id: next_projection_model_id(),
-        };
-        for i in 0..num_entities {
-            model.entities.project_row(i);
         }
-        model
     }
 
     /// `M_r v` for the matrix of relation `r`.

@@ -5,10 +5,10 @@
 //! ```text
 //! offset  size  content
 //! 0       8     magic  b"NSCSNP\x01\n"
-//! 8       4     format version, u32 LE (currently 1)
+//! 8       4     format version, u32 LE (currently 2)
 //! 12      8     payload length L, u64 LE
 //! 20      L     payload (sections; see `snapshot`)
-//! 20+L    8     FNV-1a 64 checksum of the payload bytes, u64 LE
+//! 20+L    8     XXH64 (seed 0) checksum of the payload bytes, u64 LE
 //! ```
 //!
 //! All multi-byte integers and floats are little-endian; `f64` slabs are raw
@@ -19,30 +19,106 @@
 //! (in that order, with a typed [`SnapshotError`] per failure mode) before
 //! any parsing happens, and [`Reader`] then cursors over the verified
 //! payload, reporting premature ends as [`SnapshotError::Truncated`].
+//!
+//! Version 1 frames carried a byte-serial FNV-1a 64 checksum instead; they
+//! are rejected as [`SnapshotError::UnsupportedVersion`] `{ found: 1 }`.
 
 use crate::error::SnapshotError;
+use std::ops::Range;
 use std::path::Path;
 
 /// Leading magic of every snapshot file. The trailing `\x01\n` pair catches
 /// text-mode newline mangling the way the PNG magic does.
 pub const MAGIC: [u8; 8] = *b"NSCSNP\x01\n";
 
-/// Current format revision. Readers reject anything newer.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format revision. Readers accept exactly this version.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Bytes of framing around the payload (magic + version + length + checksum).
 const FRAME_BYTES: usize = 8 + 4 + 8 + 8;
 
-/// FNV-1a 64-bit over `bytes` — small, fast, and plenty for catching the
-/// truncation/bit-rot class of corruption (cryptographic integrity is out of
-/// scope for a local checkpoint store).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Byte offset of the payload within a frame.
+const PAYLOAD_AT: usize = 8 + 4 + 8;
+
+/// XXH64 with seed 0: the frame checksum.
+///
+/// Four independent multiply-rotate lanes consume the input as 32-byte
+/// stripes of little-endian `u64` words, so the CPU overlaps the four
+/// multiply chains instead of waiting on one per byte; the lanes are merged,
+/// the input length and the `< 32`-byte tail are folded in, and a final
+/// avalanche mixes every input bit into every output bit. Plenty for
+/// catching the truncation/bit-rot class of corruption (cryptographic
+/// integrity is out of scope for a local checkpoint store).
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+    fn round(acc: u64, word: u64) -> u64 {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    hash
+    fn merge(acc: u64, lane: u64) -> u64 {
+        (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+    }
+
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, word(w));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in lanes {
+            h = merge(h, lane);
+        }
+        h
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for w in words {
+        hash = (hash ^ round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    if rest.len() >= 4 {
+        let half = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as u64;
+        hash = (hash ^ half.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        hash = (hash ^ (b as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// Payload builder: append-only little-endian encoder.
@@ -135,6 +211,12 @@ impl Writer {
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Overwrite the `u64` LE written earlier at byte offset `at` (a length
+    /// prefix back-filled once its body is written).
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// The sibling temp file a snapshot is staged in before the atomic rename.
@@ -157,22 +239,23 @@ fn staging_path(path: &Path) -> std::path::PathBuf {
 pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
     use std::io::Write as _;
 
-    let mut frame = Vec::with_capacity(FRAME_BYTES + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    let mut header = [0u8; PAYLOAD_AT];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[12..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let checksum = xxh64(payload).to_le_bytes();
 
     let tmp = staging_path(path);
     crate::crash::crash_point("write_frame: before temp create");
     let mut file = std::fs::File::create(&tmp)?;
     // Two-part write so the mid-write crash point can leave a *torn* temp
     // file on disk — the state read_frame's sweep exists for.
-    let half = frame.len() / 2;
-    file.write_all(&frame[..half])?;
+    let (first, second) = payload.split_at(payload.len() / 2);
+    file.write_all(&header)?;
+    file.write_all(first)?;
     crate::crash::crash_point("write_frame: mid temp write");
-    file.write_all(&frame[half..])?;
+    file.write_all(second)?;
+    file.write_all(&checksum)?;
     file.sync_all()?;
     drop(file);
     crate::crash::crash_point("write_frame: temp durable, before rename");
@@ -189,14 +272,28 @@ pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Read, validate and unwrap the frame at `path`, returning the verified
-/// payload bytes.
+/// A verified frame: the whole file as read, plus where its payload sits.
+/// Decoders borrow the payload in place — it is never copied out.
+#[derive(Debug)]
+pub struct Frame {
+    bytes: Vec<u8>,
+    payload: Range<usize>,
+}
+
+impl Frame {
+    /// The checksum-verified payload bytes.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[self.payload.clone()]
+    }
+}
+
+/// Read, validate and unwrap the frame at `path`.
 ///
 /// As a side effect this sweeps a stale staging file (`*.tmp-snapshot`) left
 /// by a writer that died before its atomic rename: the torn temp is ignored
 /// for reading (the final name always holds a complete frame or nothing) and
 /// deleted so it cannot accumulate.
-pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
+pub fn read_frame(path: &Path) -> Result<Frame, SnapshotError> {
     let tmp = staging_path(path);
     if tmp.exists() {
         let _ = std::fs::remove_file(&tmp);
@@ -225,8 +322,11 @@ pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let expected_total = FRAME_BYTES + payload_len;
+    let payload_len = u64::from_le_bytes(bytes[12..PAYLOAD_AT].try_into().expect("8 bytes"));
+    let expected_total = usize::try_from(payload_len)
+        .ok()
+        .and_then(|len| len.checked_add(FRAME_BYTES))
+        .unwrap_or(usize::MAX);
     if bytes.len() < expected_total {
         return Err(SnapshotError::Truncated {
             context: "payload",
@@ -240,13 +340,13 @@ pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
             bytes.len() - expected_total
         )));
     }
-    let payload = &bytes[20..20 + payload_len];
-    let expected = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
-    let found = fnv1a64(payload);
+    let payload = PAYLOAD_AT..expected_total - 8;
+    let expected = u64::from_le_bytes(bytes[payload.end..].try_into().expect("8 bytes"));
+    let found = xxh64(&bytes[payload.clone()]);
     if expected != found {
         return Err(SnapshotError::ChecksumMismatch { expected, found });
     }
-    Ok(payload.to_vec())
+    Ok(Frame { bytes, payload })
 }
 
 /// Cursor over a verified payload. Every read reports running out of bytes
@@ -440,7 +540,7 @@ mod tests {
         let path = tempfile("frame.snap");
         let payload = b"hello snapshot".to_vec();
         write_frame(&path, &payload).unwrap();
-        assert_eq!(read_frame(&path).unwrap(), payload);
+        assert_eq!(read_frame(&path).unwrap().payload(), payload);
     }
 
     #[test]
@@ -539,7 +639,7 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
         std::fs::write(&tmp, &good[..good.len() / 2]).unwrap();
 
-        assert_eq!(read_frame(&path).unwrap(), b"good snapshot");
+        assert_eq!(read_frame(&path).unwrap().payload(), b"good snapshot");
         assert!(!tmp.exists(), "stale staging file must be swept on load");
     }
 
@@ -558,9 +658,31 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Known FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn checksum_matches_the_published_xxh64_vectors() {
+        // Published XXH64 (seed 0) answers: the empty input, one byte (short
+        // path: byte tail only), and a 39-byte input that runs one full
+        // 32-byte stripe through all four lanes, then a 4-byte and a 3-byte
+        // tail.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn a_length_field_near_u64_max_is_truncation_not_overflow() {
+        // The expected frame size must not wrap around to something small
+        // (or overflow-panic in a debug build).
+        let path = tempfile("hugelen.snap");
+        write_frame(&path, b"payload").unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[12..20].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_frame(&path),
+            Err(SnapshotError::Truncated { .. })
+        ));
     }
 }

@@ -33,7 +33,7 @@
 //! ```text
 //! ┌──────────┬─────────────┬──────────────┬───────────┬──────────────┐
 //! │ magic 8B │ version u32 │ length  u64  │  payload  │ checksum u64 │
-//! │ NSCSNP␁␊ │      1      │ = |payload|  │ sections… │  FNV-1a 64   │
+//! │ NSCSNP␁␊ │      2      │ = |payload|  │ sections… │ XXH64 seed 0 │
 //! └──────────┴─────────────┴──────────────┴───────────┴──────────────┘
 //! ```
 //!
@@ -53,7 +53,9 @@
 //! checkpoint ([`save_checkpoint`]) is a superset, and [`KnowledgeServer`]
 //! accepts either. Readers validate magic → version → length → checksum
 //! before parsing a byte, and every failure is a typed [`SnapshotError`] —
-//! corruption never panics.
+//! corruption never panics. A decoded model is checked against the shapes its
+//! header declares before it is assembled, and its slabs are moved into the
+//! live tables without re-initialising or copying them.
 //!
 //! # Exact-resume guarantee
 //!

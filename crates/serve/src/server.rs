@@ -443,14 +443,20 @@ impl KnowledgeServer {
     /// Swap in a model from a snapshot file. Existing cache entries become
     /// unreachable (their stamps can no longer match) and are recycled lazily
     /// by the LRU as fresh answers displace them.
+    ///
+    /// Only the pointer swap and the stamp refresh happen under the model
+    /// write lock; the retired model is freed after the lock is released, so
+    /// readers never wait behind its deallocation.
     pub fn reload(&self, path: &Path) -> Result<(), SnapshotError> {
         let model = load_model(path)?.into_model()?;
         let mut guard = self.inner.model.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        *guard = model;
+        let retired = std::mem::replace(&mut *guard, model);
         self.inner
             .stamp
             .store(stamp_of(guard.as_ref(), generation), Ordering::Release);
+        drop(guard);
+        drop(retired);
         Ok(())
     }
 
@@ -489,13 +495,19 @@ impl KnowledgeServer {
     fn swap_candidate_index(&self, index: Option<Arc<CandidateIndex>>) {
         // Same discipline as `update_model`: the swap happens under the
         // model write lock, so no reader can compute an answer while the
-        // stamp and the index disagree.
+        // stamp and the index disagree. The retired index is dropped after
+        // both locks are released.
         let guard = self.inner.model.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        *self.inner.candidates.write().expect("candidate lock") = index;
+        let retired = std::mem::replace(
+            &mut *self.inner.candidates.write().expect("candidate lock"),
+            index,
+        );
         self.inner
             .stamp
             .store(stamp_of(guard.as_ref(), generation), Ordering::Release);
+        drop(guard);
+        drop(retired);
     }
 
     /// The bound candidate index, if any (diagnostics and benches).
@@ -1285,5 +1297,92 @@ mod tests {
         let after = server.score(&triple).unwrap();
         assert_ne!(before, after, "stale score must be recomputed, not served");
         assert_eq!(server.score(&triple).unwrap(), after);
+    }
+
+    /// Delegating model that records, when it is dropped, whether the
+    /// server's model lock was free at that moment.
+    struct DropProbe {
+        inner: Box<dyn KgeModel>,
+        server: Arc<std::sync::Mutex<Option<KnowledgeServer>>>,
+        lock_free_at_drop: Arc<std::sync::Mutex<Option<bool>>>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            if let Some(server) = self.server.lock().unwrap().take() {
+                let free = server.inner.model.try_read().is_ok();
+                *self.lock_free_at_drop.lock().unwrap() = Some(free);
+            }
+        }
+    }
+
+    impl KgeModel for DropProbe {
+        fn kind(&self) -> ModelKind {
+            self.inner.kind()
+        }
+        fn num_entities(&self) -> usize {
+            self.inner.num_entities()
+        }
+        fn num_relations(&self) -> usize {
+            self.inner.num_relations()
+        }
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn score(&self, triple: &Triple) -> f64 {
+            self.inner.score(triple)
+        }
+        fn accumulate_score_gradient(
+            &self,
+            triple: &Triple,
+            coeff: f64,
+            grads: &mut dyn nscaching_models::GradientSink,
+        ) {
+            self.inner.accumulate_score_gradient(triple, coeff, grads)
+        }
+        fn tables(&self) -> Vec<&nscaching_models::EmbeddingTable> {
+            self.inner.tables()
+        }
+        fn tables_mut(&mut self) -> Vec<&mut nscaching_models::EmbeddingTable> {
+            self.inner.tables_mut()
+        }
+        fn parameter_rows(&self, triple: &Triple) -> Vec<(nscaching_models::TableId, usize)> {
+            self.inner.parameter_rows(triple)
+        }
+        fn apply_constraints(&mut self, touched: &[(nscaching_models::TableId, usize)]) {
+            self.inner.apply_constraints(touched)
+        }
+        fn clone_box(&self) -> Box<dyn KgeModel> {
+            self.inner.clone_box()
+        }
+    }
+
+    #[test]
+    fn reload_frees_the_retired_model_after_releasing_the_write_lock() {
+        let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(4), 12, 3);
+        let path = std::env::temp_dir().join(format!(
+            "nscaching-server-retire-{}.snap",
+            std::process::id()
+        ));
+        crate::save_model(&path, model.as_ref()).unwrap();
+
+        let slot = Arc::new(std::sync::Mutex::new(None));
+        let observed = Arc::new(std::sync::Mutex::new(None));
+        let server = KnowledgeServer::new(
+            Box::new(DropProbe {
+                inner: model,
+                server: Arc::clone(&slot),
+                lock_free_at_drop: Arc::clone(&observed),
+            }),
+            8,
+        );
+        *slot.lock().unwrap() = Some(server.clone());
+        server.reload(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            *observed.lock().unwrap(),
+            Some(true),
+            "the retired model must be dropped with the model lock released"
+        );
     }
 }

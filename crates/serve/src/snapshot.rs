@@ -25,7 +25,7 @@ use nscaching::{
     CacheEntryState, CacheState, GeneratorKind, GeneratorState, GeneratorTableState,
     NegativeSampler, NsCachingShardState, NsCachingState, SamplerState,
 };
-use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
+use nscaching_models::{model_from_tables, EmbeddingTable, KgeModel, ModelKind};
 use nscaching_optim::{
     AdaGradTableState, AdamTableState, OptimizerConfig, OptimizerKind, OptimizerState,
 };
@@ -74,82 +74,30 @@ pub struct ModelSnapshot {
 }
 
 impl ModelSnapshot {
-    /// Capture a model's parameters.
-    pub fn capture(model: &dyn KgeModel) -> Self {
-        Self {
-            kind: model.kind(),
-            dim: model.dim(),
-            num_entities: model.num_entities(),
-            num_relations: model.num_relations(),
-            tables: model
-                .tables()
-                .into_iter()
-                .map(|t| TableData {
-                    name: t.name().to_string(),
-                    rows: t.rows(),
-                    dim: t.dim(),
-                    data: t.data().to_vec(),
-                })
-                .collect(),
-        }
-    }
-
     /// Rebuild a live model holding exactly the captured parameters.
     ///
-    /// Constructs the architecture through the regular factory, then
-    /// overwrites every table — validating name, row count and dimension
-    /// against the snapshot so a file from a different configuration fails
-    /// with [`SnapshotError::SchemaMismatch`] instead of scoring garbage.
+    /// Every table's name, row count and dimension is checked against the
+    /// kind, `dim` and vocabulary sizes recorded next to them before anything
+    /// is built, so a file from a different configuration — or a crafted
+    /// header claiming sizes its slabs do not back — fails with
+    /// [`SnapshotError::SchemaMismatch`] instead of scoring garbage or
+    /// attempting a huge allocation. The decoded slabs are then moved into
+    /// the model as they are: no initialisation, no copy.
     pub fn into_model(self) -> Result<Box<dyn KgeModel>, SnapshotError> {
-        let config = ModelConfig::new(self.kind).with_dim(self.dim);
-        let mut model = build_model(&config, self.num_entities, self.num_relations);
-        let mut tables = model.tables_mut();
-        if tables.len() != self.tables.len() {
-            return Err(SnapshotError::SchemaMismatch(format!(
-                "{:?} built with {} tables but the snapshot holds {}",
-                self.kind,
-                tables.len(),
-                self.tables.len()
-            )));
-        }
-        for (table, snap) in tables.iter_mut().zip(&self.tables) {
-            if table.name() != snap.name || table.rows() != snap.rows || table.dim() != snap.dim {
-                return Err(SnapshotError::SchemaMismatch(format!(
-                    "table {:?} ({}×{}) does not match snapshot table {:?} ({}×{})",
-                    table.name(),
-                    table.rows(),
-                    table.dim(),
-                    snap.name,
-                    snap.rows,
-                    snap.dim
-                )));
-            }
-            if snap.data.len() != snap.rows * snap.dim {
-                return Err(SnapshotError::Corrupt(format!(
-                    "table {:?} slab holds {} values, expected {}",
-                    snap.name,
-                    snap.data.len(),
-                    snap.rows * snap.dim
-                )));
-            }
-            table.data_mut().copy_from_slice(&snap.data);
-        }
-        drop(tables);
-        Ok(model)
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        w.u8(model_kind_tag(self.kind));
-        w.u64(self.dim as u64);
-        w.u64(self.num_entities as u64);
-        w.u64(self.num_relations as u64);
-        w.u32(self.tables.len() as u32);
-        for table in &self.tables {
-            w.str(&table.name);
-            w.u64(table.rows as u64);
-            w.u64(table.dim as u64);
-            w.f64_slice(&table.data);
-        }
+        let tables = self
+            .tables
+            .into_iter()
+            .map(|t| EmbeddingTable::from_data(t.name, t.rows, t.dim, t.data))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(SnapshotError::Corrupt)?;
+        model_from_tables(
+            self.kind,
+            self.dim,
+            self.num_entities,
+            self.num_relations,
+            tables,
+        )
+        .map_err(SnapshotError::SchemaMismatch)
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -214,19 +162,33 @@ pub struct Checkpoint {
     pub meta: CheckpointMeta,
 }
 
+/// Encode a model section body straight from the live tables.
+fn encode_model(w: &mut Writer, model: &dyn KgeModel) {
+    let tables = model.tables();
+    w.u8(model_kind_tag(model.kind()));
+    w.u64(model.dim() as u64);
+    w.u64(model.num_entities() as u64);
+    w.u64(model.num_relations() as u64);
+    w.u32(tables.len() as u32);
+    for table in tables {
+        w.str(table.name());
+        w.u64(table.rows() as u64);
+        w.u64(table.dim() as u64);
+        w.f64_slice(table.data());
+    }
+}
+
 /// Persist a model-only snapshot (the serving artifact).
 pub fn save_model(path: &Path, model: &dyn KgeModel) -> Result<(), SnapshotError> {
     let mut w = Writer::new();
-    write_section(&mut w, SECTION_MODEL, |w| {
-        ModelSnapshot::capture(model).encode(w)
-    });
+    write_section(&mut w, SECTION_MODEL, |w| encode_model(w, model));
     write_frame(path, &w.into_payload())
 }
 
 /// Load the model section of a snapshot or checkpoint file.
 pub fn load_model(path: &Path) -> Result<ModelSnapshot, SnapshotError> {
-    let payload = read_frame(path)?;
-    let mut r = Reader::new(&payload);
+    let frame = read_frame(path)?;
+    let mut r = Reader::new(frame.payload());
     let mut model = None;
     walk_sections(&mut r, |tag, r| {
         if tag == SECTION_MODEL {
@@ -245,9 +207,7 @@ pub fn save_checkpoint(path: &Path, trainer: &Trainer) -> Result<(), SnapshotErr
     let state = trainer.checkpoint();
     let config = trainer.config();
     let mut w = Writer::new();
-    write_section(&mut w, SECTION_MODEL, |w| {
-        ModelSnapshot::capture(trainer.model()).encode(w)
-    });
+    write_section(&mut w, SECTION_MODEL, |w| encode_model(w, trainer.model()));
     write_section(&mut w, SECTION_TRAINER, |w| {
         w.u64(state.epochs_done);
         w.f64(state.train_seconds);
@@ -275,8 +235,8 @@ pub fn save_checkpoint(path: &Path, trainer: &Trainer) -> Result<(), SnapshotErr
 
 /// Load a full training checkpoint.
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> {
-    let payload = read_frame(path)?;
-    let mut r = Reader::new(&payload);
+    let frame = read_frame(path)?;
+    let mut r = Reader::new(frame.payload());
     let mut model = None;
     let mut trainer = None;
     let mut optimizer = None;
@@ -398,14 +358,15 @@ pub fn resume_trainer(
     Ok(trainer)
 }
 
-/// Write one `tag + length + body` section.
+/// Write one `tag + length + body` section, encoding the body in place and
+/// back-filling its length.
 fn write_section(w: &mut Writer, tag: u8, body: impl FnOnce(&mut Writer)) {
-    let mut section = Writer::new();
-    body(&mut section);
-    let section = section.into_payload();
     w.u8(tag);
-    w.u64(section.len() as u64);
-    w.raw(&section);
+    let length_at = w.len();
+    w.u64(0);
+    body(w);
+    let len = w.len() - length_at - 8;
+    w.patch_u64(length_at, len as u64);
 }
 
 /// Walk every section, handing `(tag, body reader)` to `visit`. Unknown tags

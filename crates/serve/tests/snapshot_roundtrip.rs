@@ -8,10 +8,10 @@ use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
-use nscaching_serve::format::{write_frame, Writer};
+use nscaching_serve::format::{write_frame, xxh64, Writer};
 use nscaching_serve::{
-    load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, ModelSnapshot,
-    SnapshotError,
+    load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, CheckpointManager,
+    ModelSnapshot, SnapshotError,
 };
 use nscaching_train::{TrainConfig, Trainer};
 use proptest::prelude::*;
@@ -308,7 +308,7 @@ fn zeroed_rng_state_with_valid_checksum_fails_typed_not_panicking() {
     }
     // Recompute the checksum so only the RNG validation can catch this.
     let payload_end = bytes.len() - 8;
-    let checksum = nscaching_serve::format::fnv1a64(&bytes[20..payload_end]);
+    let checksum = xxh64(&bytes[20..payload_end]);
     bytes[payload_end..].copy_from_slice(&checksum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
@@ -323,7 +323,8 @@ fn zeroed_rng_state_with_valid_checksum_fails_typed_not_panicking() {
 }
 
 /// Save a small TransE model, let `mutate` rewrite its payload (which
-/// starts at byte 20), re-seal the checksum and load the model section.
+/// starts at byte 20), re-seal the checksum and load the model the way a
+/// server does: decode the model section, then assemble the live model.
 fn load_resealed_model(name: &str, mutate: impl FnOnce(&mut [u8])) -> Result<(), SnapshotError> {
     let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(4), 20, 3);
     let path = tempfile(name);
@@ -331,17 +332,122 @@ fn load_resealed_model(name: &str, mutate: impl FnOnce(&mut [u8])) -> Result<(),
     let mut bytes = std::fs::read(&path).unwrap();
     let payload_end = bytes.len() - 8;
     mutate(&mut bytes[20..payload_end]);
-    let checksum = nscaching_serve::format::fnv1a64(&bytes[20..payload_end]);
+    let checksum = xxh64(&bytes[20..payload_end]);
     bytes[payload_end..].copy_from_slice(&checksum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
-    let result = load_model(&path).map(drop);
+    let result = load_model(&path)
+        .and_then(ModelSnapshot::into_model)
+        .map(drop);
     std::fs::remove_file(&path).ok();
     result
 }
 
-/// Payload offset of the model section's table count: section tag (1) +
-/// section length (8), then kind (1) + dim, entities, relations (3 × 8).
-const TABLE_COUNT_AT: usize = 1 + 8 + 1 + 3 * 8;
+/// Payload offset of the model section's `dim`: section tag (1) + section
+/// length (8), then kind (1).
+const DIM_AT: usize = 1 + 8 + 1;
+/// Payload offset of the model section's entity count.
+const ENTITIES_AT: usize = DIM_AT + 8;
+/// Payload offset of the model section's table count: after dim, entities
+/// and relations (3 × 8).
+const TABLE_COUNT_AT: usize = DIM_AT + 3 * 8;
+
+#[test]
+fn a_crafted_entity_count_fails_typed_before_any_allocation() {
+    // The header claims 2^40 entities while the slabs stay 20 rows: building
+    // the architecture from the header first would try to allocate 32 TiB.
+    let result = load_resealed_model("entity-count", |payload| {
+        payload[ENTITIES_AT..ENTITIES_AT + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    });
+    assert!(
+        matches!(
+            result,
+            Err(SnapshotError::SchemaMismatch(_) | SnapshotError::Corrupt(_))
+        ),
+        "expected a typed schema error, got {:?}",
+        result.err().map(|e| e.to_string())
+    );
+}
+
+#[test]
+fn a_crafted_dimension_fails_typed_before_any_allocation() {
+    // The header claims d = 2^40 while every slab stays 4 wide.
+    let result = load_resealed_model("dimension", |payload| {
+        payload[DIM_AT..DIM_AT + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    });
+    assert!(
+        matches!(
+            result,
+            Err(SnapshotError::SchemaMismatch(_) | SnapshotError::Corrupt(_))
+        ),
+        "expected a typed schema error, got {:?}",
+        result.err().map(|e| e.to_string())
+    );
+}
+
+/// FNV-1a 64, the checksum of version-1 frames (kept here only to forge one).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrite the frame at `path` as a version-1 writer would have produced it:
+/// same payload, version field 1, FNV-1a 64 trailer.
+fn downgrade_to_version_1(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let payload_end = bytes.len() - 8;
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let checksum = fnv1a64(&bytes[20..payload_end]);
+    bytes[payload_end..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+#[test]
+fn a_version_1_frame_is_rejected_as_unsupported() {
+    let ds = dataset(8);
+    let trainer = trained_trainer(&ds, ModelKind::TransE, 2, 1);
+    let path = tempfile("version-1");
+    save_checkpoint(&path, &trainer).unwrap();
+    downgrade_to_version_1(&path);
+    assert!(matches!(
+        load_model(&path),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
+    ));
+    assert!(matches!(
+        load_checkpoint(&path),
+        Err(SnapshotError::UnsupportedVersion { found: 1 })
+    ));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn recovery_quarantines_a_version_1_checkpoint_under_the_version_reason() {
+    let ds = dataset(9);
+    let trainer = trained_trainer(&ds, ModelKind::TransE, 0, 1);
+    let dir = tempfile("version-1-manager");
+    let _ = std::fs::remove_dir_all(&dir);
+    let manager = CheckpointManager::new(&dir, 3).unwrap();
+    let older = manager.save(&trainer).unwrap();
+    let newest = manager.save(&trainer).unwrap();
+    downgrade_to_version_1(&newest);
+
+    let recovery = manager
+        .recover()
+        .unwrap()
+        .expect("the older checkpoint is valid");
+    assert_eq!(recovery.path, older);
+    assert_eq!(recovery.quarantined.len(), 1);
+    let (from, to, error) = &recovery.quarantined[0];
+    assert_eq!(from, &newest);
+    assert!(matches!(
+        error,
+        SnapshotError::UnsupportedVersion { found: 1 }
+    ));
+    let name = to.file_name().unwrap().to_str().unwrap();
+    assert!(name.ends_with(".ckpt.bad-version"), "{name}");
+    assert!(!newest.exists(), "the version-1 file is moved aside");
+    std::fs::remove_dir_all(&dir).ok();
+}
 
 #[test]
 fn a_crafted_table_count_fails_typed_instead_of_aborting() {
