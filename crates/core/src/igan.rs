@@ -374,6 +374,7 @@ impl NegativeSampler for IganSampler {
             }
         };
         restore_generator_tables(self.generator.as_mut(), &state.tables)?;
+        state.optimizer.check_fits(self.generator.as_ref())?;
         self.optimizer.import_state(state.optimizer)?;
         // Re-bind so the slabs stay pre-sized even if the capture was taken
         // before the optimizer ever touched some table.

@@ -428,6 +428,7 @@ impl NegativeSampler for KbGanSampler {
             }
         };
         restore_generator_tables(self.generator.as_mut(), &state.tables)?;
+        state.optimizer.check_fits(self.generator.as_ref())?;
         self.optimizer.import_state(state.optimizer)?;
         // Re-bind so the slabs stay pre-sized even if the capture was taken
         // before the optimizer ever touched some table.
@@ -570,6 +571,22 @@ mod tests {
         // a second merge with no new feedback is a no-op
         s.merge_batch();
         assert_eq!(s.feedback_steps(), 2);
+    }
+
+    #[test]
+    fn import_rejects_generator_optimizer_slabs_of_another_shape() {
+        let mut s = KbGanSampler::new(generator(30), 8, 0.05, CorruptionPolicy::Uniform);
+        let SamplerState::Generator(mut state) = s.export_state() else {
+            panic!("KBGAN exports generator state");
+        };
+        let nscaching_optim::OptimizerState::Adam { tables } = &mut state.optimizer else {
+            panic!("the generator runs Adam");
+        };
+        // Self-consistent slabs (moments = rows × dim) at twice the dim.
+        tables[0].dim *= 2;
+        tables[0].m = tables[0].m.repeat(2);
+        tables[0].v = tables[0].v.repeat(2);
+        assert!(s.import_state(SamplerState::Generator(state)).is_err());
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl Optimizer for AdaGrad {
             ));
         };
         for (i, slab) in tables.iter().enumerate() {
-            if slab.acc.len() != slab.seen.len() * slab.dim {
+            if slab.seen.len().checked_mul(slab.dim) != Some(slab.acc.len()) {
                 return Err(format!(
                     "AdaGrad table {i}: accumulator length {} does not match {} rows × dim {}",
                     slab.acc.len(),

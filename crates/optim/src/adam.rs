@@ -189,8 +189,8 @@ impl Optimizer for Adam {
             return Err(format!("cannot import {:?} state into Adam", state.kind()));
         };
         for (i, slab) in tables.iter().enumerate() {
-            let expected = slab.t.len() * slab.dim;
-            if slab.m.len() != expected || slab.v.len() != expected {
+            let expected = slab.t.len().checked_mul(slab.dim);
+            if expected != Some(slab.m.len()) || expected != Some(slab.v.len()) {
                 return Err(format!(
                     "Adam table {i}: moment slab lengths ({}, {}) do not match {} rows × dim {}",
                     slab.m.len(),

@@ -78,6 +78,43 @@ impl OptimizerState {
             OptimizerState::Adam { .. } => OptimizerKind::Adam,
         }
     }
+
+    /// Check that every slab fits `model`'s table of the same id: the same
+    /// `dim` and no more rows (an untouched empty slab, dim 0, fits any
+    /// table).
+    ///
+    /// [`Optimizer::bind`] keeps an imported slab's `dim` and only pads
+    /// missing rows, so importing a slab shaped for another model would step
+    /// the model with the wrong stride. Callers check before importing.
+    pub fn check_fits(&self, model: &dyn KgeModel) -> Result<(), String> {
+        let shapes: Vec<(usize, usize)> = match self {
+            OptimizerState::Sgd => Vec::new(),
+            OptimizerState::AdaGrad { tables } => {
+                tables.iter().map(|t| (t.seen.len(), t.dim)).collect()
+            }
+            OptimizerState::Adam { tables } => tables.iter().map(|t| (t.t.len(), t.dim)).collect(),
+        };
+        let live = model.tables();
+        for (i, (rows, dim)) in shapes.into_iter().enumerate() {
+            let Some(table) = live.get(i) else {
+                return Err(format!(
+                    "optimizer state has table {i}, the model only {}",
+                    live.len()
+                ));
+            };
+            let untouched = rows == 0 && dim == 0;
+            if rows > table.rows() || (dim != table.dim() && !untouched) {
+                return Err(format!(
+                    "optimizer table {i} holds {rows} rows × dim {dim}, the model's table {:?} \
+                     is {} rows × dim {}",
+                    table.name(),
+                    table.rows(),
+                    table.dim()
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One table's exported AdaGrad state.

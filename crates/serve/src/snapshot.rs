@@ -520,14 +520,16 @@ fn decode_sampler_state(r: &mut Reader<'_>) -> Result<SamplerState, SnapshotErro
             };
             let baseline = r.f64("generator baseline")?;
             let feedback_steps = r.u64("feedback steps")?;
-            let n = r.u32("generator table count")?;
-            let mut tables = Vec::with_capacity(n as usize);
+            let n = r.u32("generator table count")? as usize;
+            // Each table costs ≥ 28 bytes (name length, rows, dim, slab count).
+            guard_count(r, n, 28, "generator tables")?;
+            let mut tables = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = r.str("generator table name")?;
                 let rows = r.u64("generator table rows")? as usize;
                 let dim = r.u64("generator table dim")? as usize;
                 let data = r.f64_slice("generator table slab")?;
-                if data.len() != rows * dim {
+                if rows.checked_mul(dim) != Some(data.len()) {
                     return Err(SnapshotError::Corrupt(format!(
                         "generator table {name:?} slab holds {} values, expected {rows}×{dim}",
                         data.len()
@@ -584,8 +586,10 @@ fn decode_optimizer_state(r: &mut Reader<'_>) -> Result<OptimizerState, Snapshot
     match optimizer_kind_from_tag(r.u8("optimizer state kind")?)? {
         OptimizerKind::Sgd => Ok(OptimizerState::Sgd),
         OptimizerKind::AdaGrad => {
-            let n = r.u32("adagrad table count")?;
-            let mut tables = Vec::with_capacity(n as usize);
+            let n = r.u32("adagrad table count")? as usize;
+            // Each table costs ≥ 24 bytes (dim, two slab counts).
+            guard_count(r, n, 24, "adagrad tables")?;
+            let mut tables = Vec::with_capacity(n);
             for _ in 0..n {
                 let dim = r.u64("adagrad dim")? as usize;
                 let acc = r.f64_slice("adagrad accumulators")?;
@@ -595,8 +599,10 @@ fn decode_optimizer_state(r: &mut Reader<'_>) -> Result<OptimizerState, Snapshot
             Ok(OptimizerState::AdaGrad { tables })
         }
         OptimizerKind::Adam => {
-            let n = r.u32("adam table count")?;
-            let mut tables = Vec::with_capacity(n as usize);
+            let n = r.u32("adam table count")? as usize;
+            // Each table costs ≥ 32 bytes (dim, three slab counts).
+            guard_count(r, n, 32, "adam tables")?;
+            let mut tables = Vec::with_capacity(n);
             for _ in 0..n {
                 let dim = r.u64("adam dim")? as usize;
                 let m = r.f64_slice("adam first moments")?;

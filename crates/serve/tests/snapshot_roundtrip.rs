@@ -494,6 +494,191 @@ fn an_overflowing_table_shape_fails_typed() {
     );
 }
 
+/// Section tags of a checkpoint frame.
+const SECTION_OPTIMIZER: u8 = 3;
+const SECTION_SAMPLER: u8 = 4;
+
+/// Rewrite one section of the checkpoint at `path`: `mutate` gets the
+/// section body (and may change its length), then the payload is rebuilt
+/// with fresh section lengths and re-sealed with a valid checksum, so only
+/// the section decoders can reject it.
+fn reseal_section(path: &std::path::Path, tag: u8, mutate: impl FnOnce(&mut Vec<u8>)) {
+    let bytes = std::fs::read(path).unwrap();
+    let payload = &bytes[20..bytes.len() - 8];
+    let mut out = Writer::new();
+    let mut mutate = Some(mutate);
+    let mut pos = 0;
+    while pos < payload.len() {
+        let section = payload[pos];
+        let len = u64::from_le_bytes(payload[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        let mut body = payload[pos + 9..pos + 9 + len].to_vec();
+        if section == tag {
+            (mutate.take().expect("one section per tag"))(&mut body);
+        }
+        out.u8(section);
+        out.u64(body.len() as u64);
+        out.raw(&body);
+        pos += 9 + len;
+    }
+    assert!(mutate.is_none(), "the checkpoint has no section {tag}");
+    write_frame(path, &out.into_payload()).unwrap();
+}
+
+fn kbgan_trainer(ds: &Dataset) -> Trainer {
+    let model = build_model(
+        &ModelConfig::new(ModelKind::TransE).with_dim(6).with_seed(3),
+        ds.num_entities(),
+        ds.num_relations(),
+    );
+    let sampler = nscaching::build_sampler(
+        &SamplerConfig::KbGan {
+            generator: ModelKind::TransE,
+            generator_dim: 6,
+            candidate_size: 10,
+            generator_lr: 0.01,
+        },
+        ds,
+        7,
+    );
+    let config = TrainConfig::new(1)
+        .with_batch_size(64)
+        .with_optimizer(optimizer_config(2, 0.02))
+        .with_seed(11)
+        .with_shards(1);
+    let mut trainer = Trainer::new(model, sampler, ds, config);
+    trainer.train_epoch();
+    trainer
+}
+
+#[test]
+fn a_crafted_optimizer_table_count_fails_typed_instead_of_aborting() {
+    // Optimizer section: kind tag (1), then the u32 table count. 2^32 − 1
+    // Adam tables used to reserve 343 GB up front and abort the process.
+    let ds = dataset(12);
+    for opt in [1, 2] {
+        let trainer = trained_trainer(&ds, ModelKind::TransE, opt, 1);
+        let path = tempfile("optimizer-table-count");
+        save_checkpoint(&path, &trainer).unwrap();
+        reseal_section(&path, SECTION_OPTIMIZER, |body| {
+            body[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let result = load_checkpoint(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(result, Err(SnapshotError::Truncated { .. })),
+            "optimizer {opt}: expected a typed Truncated error, got {:?}",
+            result.map(|_| ()).map_err(|e| e.to_string())
+        );
+    }
+}
+
+/// Sampler-section offset of the generator table count: state tag (1),
+/// generator kind (1), baseline (8), feedback steps (8).
+const GENERATOR_TABLE_COUNT_AT: usize = 1 + 1 + 8 + 8;
+
+#[test]
+fn a_crafted_generator_table_count_fails_typed_instead_of_aborting() {
+    let ds = dataset(13);
+    let trainer = kbgan_trainer(&ds);
+    let path = tempfile("generator-table-count");
+    save_checkpoint(&path, &trainer).unwrap();
+    reseal_section(&path, SECTION_SAMPLER, |body| {
+        let at = GENERATOR_TABLE_COUNT_AT;
+        body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    let result = load_checkpoint(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            result,
+            Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_))
+        ),
+        "expected a typed error, got {:?}",
+        result.map(|_| ()).map_err(|e| e.to_string())
+    );
+}
+
+#[test]
+fn an_overflowing_generator_table_shape_fails_typed() {
+    // One generator table of 2^63 × 2 values over an empty slab: the
+    // unchecked product wraps to the slab length 0.
+    let ds = dataset(14);
+    let trainer = kbgan_trainer(&ds);
+    let path = tempfile("generator-table-shape");
+    save_checkpoint(&path, &trainer).unwrap();
+    reseal_section(&path, SECTION_SAMPLER, |body| {
+        let mut crafted = Writer::new();
+        crafted.raw(&body[..GENERATOR_TABLE_COUNT_AT]);
+        crafted.u32(1);
+        crafted.str("entity");
+        crafted.u64(1 << 63);
+        crafted.u64(2);
+        crafted.f64_slice(&[]);
+        crafted.u8(0); // SGD generator optimizer: no state
+        *body = crafted.into_payload();
+    });
+    let result = load_checkpoint(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(result, Err(SnapshotError::Corrupt(_))),
+        "expected a typed Corrupt error, got {:?}",
+        result.map(|_| ()).map_err(|e| e.to_string())
+    );
+}
+
+/// Encode an Adam optimizer section body the way the checkpoint writer does.
+fn adam_section(tables: &[nscaching_optim::AdamTableState]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(2); // Adam
+    w.u32(tables.len() as u32);
+    for t in tables {
+        w.u64(t.dim as u64);
+        w.f64_slice(&t.m);
+        w.f64_slice(&t.v);
+        w.u64_slice(&t.t);
+    }
+    w.into_payload()
+}
+
+#[test]
+fn optimizer_state_shaped_for_another_model_fails_the_resume() {
+    // Self-consistent Adam slabs (moments = rows × dim) that do not fit the
+    // model: a doubled dim over the same rows, and one row too many. The
+    // decoders accept both; resuming must reject them before any step
+    // indexes the moments with the wrong stride.
+    let ds = dataset(15);
+    let trainer = trained_trainer(&ds, ModelKind::TransE, 2, 1);
+    let config = trainer.config().clone();
+    let nscaching_optim::OptimizerState::Adam { tables } = trainer.checkpoint().optimizer else {
+        panic!("the trainer runs Adam");
+    };
+    let mut doubled_dim = tables.clone();
+    doubled_dim[0].dim *= 2;
+    doubled_dim[0].m = doubled_dim[0].m.repeat(2);
+    doubled_dim[0].v = doubled_dim[0].v.repeat(2);
+    let mut extra_row = tables;
+    let dim = extra_row[0].dim;
+    extra_row[0].m.extend(std::iter::repeat_n(0.0, dim));
+    extra_row[0].v.extend(std::iter::repeat_n(0.0, dim));
+    extra_row[0].t.push(0);
+    for (what, crafted) in [("doubled dim", doubled_dim), ("extra row", extra_row)] {
+        let path = tempfile("adam-shape");
+        save_checkpoint(&path, &trainer).unwrap();
+        reseal_section(&path, SECTION_OPTIMIZER, |body| {
+            *body = adam_section(&crafted);
+        });
+        let checkpoint = load_checkpoint(&path).expect("the slabs are self-consistent");
+        std::fs::remove_file(&path).ok();
+        let sampler = nscaching::build_sampler(&SamplerConfig::Bernoulli, &ds, 7);
+        let result = resume_trainer(checkpoint, sampler, &ds, config.clone());
+        assert!(
+            matches!(result, Err(SnapshotError::SchemaMismatch(_))),
+            "{what}: expected a typed SchemaMismatch, got {:?}",
+            result.map(|_| ()).map_err(|e| e.to_string())
+        );
+    }
+}
+
 #[test]
 fn mismatched_vocabulary_fails_the_schema_check() {
     let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(4), 20, 3);

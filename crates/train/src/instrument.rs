@@ -2,8 +2,8 @@
 
 use nscaching_kg::Triple;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Summary statistics of one training epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,16 +50,71 @@ impl EpochStats {
     }
 }
 
+/// Fixed multiplicative hasher for the repeat tracker's table (FxHash's
+/// rotate-xor-multiply round per `u32` id, with a final rotation that moves
+/// the best-mixed high product bits into the bucket index).
+///
+/// The keys are the trainer's own entity and relation ids, not outside
+/// input, so std's randomised SipHash buys nothing here and costs most of
+/// a probe.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.add(u64::from(id));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Tracks how often the same negative triple is drawn within a sliding window
 /// of epochs (the "RR" measure of Figure 7(a)).
 ///
 /// A draw counts as a *repeat* when the same negative triple was already
-/// drawn earlier within the window (including earlier in the current epoch).
+/// drawn earlier within the window: in the current epoch or in one of the
+/// `window` epochs closed before it. The ratio is the repeats over the draws
+/// of those `window + 1` epochs; when an epoch leaves the window its draws
+/// leave the denominator and the repeat count is clamped to it.
+///
+/// One table maps every triple drawn in the window to the last epoch it was
+/// drawn in, so a draw is one probe: it repeats iff that epoch is at least
+/// `current − window`. Because the last sighting is the latest one, this
+/// is exactly "some epoch of the window drew it". Entries older than the
+/// window are dropped at each epoch boundary, so the table never holds more
+/// triples than the `window + 1` epochs drew — `(window + 1)` × the draws of
+/// an epoch. That much room is reserved once, after the first epoch, so the
+/// table does not grow mid-run.
 #[derive(Debug, Clone)]
 pub struct RepeatTracker {
-    window: usize,
-    current: HashMap<Triple, u64>,
-    history: VecDeque<HashMap<Triple, u64>>,
+    window: u32,
+    /// The current epoch, 0-based.
+    epoch: u32,
+    /// Last epoch in which each triple of the window was drawn.
+    last_seen: HashMap<Triple, u32, BuildHasherDefault<IdHasher>>,
+    /// Draws of the closed epochs still in the window, oldest first.
+    closed_draws: VecDeque<u64>,
+    current_draws: u64,
     draws_in_window: u64,
     repeats_in_window: u64,
 }
@@ -68,23 +123,27 @@ impl RepeatTracker {
     /// Track repeats over a window of `window` epochs (≥ 1).
     pub fn new(window: usize) -> Self {
         Self {
-            window: window.max(1),
-            current: HashMap::new(),
-            history: VecDeque::new(),
+            window: window.clamp(1, u32::MAX as usize) as u32,
+            epoch: 0,
+            last_seen: HashMap::default(),
+            closed_draws: VecDeque::new(),
+            current_draws: 0,
             draws_in_window: 0,
             repeats_in_window: 0,
         }
     }
 
     /// Record one sampled negative triple.
+    #[inline]
     pub fn record(&mut self, negative: Triple) {
         self.draws_in_window += 1;
-        let seen_before = self.current.contains_key(&negative)
-            || self.history.iter().any(|m| m.contains_key(&negative));
-        if seen_before {
-            self.repeats_in_window += 1;
+        self.current_draws += 1;
+        let horizon = self.epoch.saturating_sub(self.window);
+        if let Some(last) = self.last_seen.insert(negative, self.epoch) {
+            if last >= horizon {
+                self.repeats_in_window += 1;
+            }
         }
-        *self.current.entry(negative).or_insert(0) += 1;
     }
 
     /// The repeat ratio over the current window, in `[0, 1]`.
@@ -95,30 +154,33 @@ impl RepeatTracker {
         self.repeats_in_window as f64 / self.draws_in_window as f64
     }
 
-    /// Close the current epoch; evicts epochs that fall out of the window.
-    ///
-    /// The per-epoch maps are recycled: the current map is snapshotted into
-    /// the history by swap, and the oldest evicted epoch's map (cleared, its
-    /// table allocation intact) becomes the new current map. In steady state
-    /// an epoch boundary therefore moves allocations around instead of
-    /// rebuilding a fresh `HashMap` from empty every epoch.
+    /// Close the current epoch; evicts the epoch that falls out of the window.
     pub fn end_epoch(&mut self) {
-        let mut recycled = HashMap::new();
-        self.history.push_back(std::mem::take(&mut self.current));
-        while self.history.len() > self.window {
-            if let Some(evicted) = self.history.pop_front() {
-                // Recompute window totals without the evicted epoch. The exact
-                // repeat attribution within the window is approximate once
-                // eviction starts; the trend (Bernoulli ≈ 0, NSCaching ≫ 0) is
-                // what Figure 7 reads off, and that is preserved.
-                let evicted_draws: u64 = evicted.values().sum();
-                self.draws_in_window = self.draws_in_window.saturating_sub(evicted_draws);
+        if self.epoch == 0 {
+            // Size the table once for a full window of epochs like this one.
+            // Only a room hint: a window too large to reserve grows on demand.
+            let room = (self.window as usize + 1).saturating_mul(self.current_draws as usize);
+            let _ = self
+                .last_seen
+                .try_reserve(room.saturating_sub(self.last_seen.len()));
+        }
+        self.closed_draws
+            .push_back(std::mem::take(&mut self.current_draws));
+        if self.closed_draws.len() > self.window as usize {
+            if let Some(evicted) = self.closed_draws.pop_front() {
+                // The evicted epoch's draws leave the window. Which of the
+                // counted repeats they were is not tracked, so the repeat
+                // count is only clamped; the trend (Bernoulli ≈ 0, NSCaching
+                // ≫ 0) is what Figure 7 reads off, and that is preserved.
+                self.draws_in_window = self.draws_in_window.saturating_sub(evicted);
                 self.repeats_in_window = self.repeats_in_window.min(self.draws_in_window);
-                recycled = evicted;
             }
         }
-        recycled.clear();
-        std::mem::swap(&mut self.current, &mut recycled);
+        self.epoch += 1;
+        if self.epoch > self.window {
+            let horizon = self.epoch - self.window;
+            self.last_seen.retain(|_, last| *last >= horizon);
+        }
     }
 }
 

@@ -278,7 +278,9 @@ impl Trainer {
     /// Pair it with the model tables (via [`Self::model`]) to persist a full
     /// resumable checkpoint — `nscaching_serve::save_checkpoint` does both
     /// and adds the on-disk format. See [`TrainerState`] for the exact-resume
-    /// contract.
+    /// contract. The repeat-ratio window (Figure 7(a)) is instrumentation,
+    /// not training state, and is not captured: after a resume
+    /// [`EpochStats::repeat_ratio`] restarts from an empty window.
     pub fn checkpoint(&self) -> TrainerState {
         TrainerState {
             epochs_done: self.epochs_done as u64,
@@ -296,8 +298,10 @@ impl Trainer {
     /// model whose tables already hold the checkpointed values (the snapshot
     /// store restores them before constructing the trainer). Fails when the
     /// optimizer state belongs to a different optimizer kind than the
-    /// configured one, or the sampler state to a different sampler kind than
-    /// the configured sampler.
+    /// configured one or does not fit the model's tables (another `dim`, more
+    /// rows, more tables), or the sampler state belongs to a different
+    /// sampler kind than the configured sampler. The repeat-ratio window is
+    /// not part of the state (see [`Self::checkpoint`]) and restarts empty.
     pub fn restore(&mut self, state: TrainerState) -> Result<(), String> {
         // The all-zero state is the one invalid xoshiro256** fixed point; a
         // real trainer can never produce it, and the RNG constructor would
@@ -305,6 +309,7 @@ impl Trainer {
         if state.rng.iter().all(|&word| word == 0) {
             return Err("all-zero master-RNG state".into());
         }
+        state.optimizer.check_fits(self.model.as_ref())?;
         self.optimizer.import_state(state.optimizer)?;
         // Re-pad the imported slabs to the model's table sizes so the
         // no-allocation guarantee of the bound optimizer still holds.
@@ -1391,6 +1396,28 @@ mod tests {
         state.optimizer = nscaching_optim::OptimizerState::Sgd;
         // the trainer above is built with Adam
         assert!(t.restore(state).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_optimizer_state_for_a_missing_table() {
+        let ds = dataset(13);
+        let mut t = trainer(&ds, SamplerConfig::Bernoulli, ModelKind::TransE, 1);
+        t.train_epoch();
+        let state = t.checkpoint();
+        let OptimizerState::Adam { tables } = &state.optimizer else {
+            panic!("the trainer is built with Adam");
+        };
+        // A slab for a table the model does not have (wrong dims and extra
+        // rows are covered through re-sealed checkpoints in nscaching-serve).
+        let mut extra_table = tables.clone();
+        extra_table.push(tables[0].clone());
+        let mut crafted = state.clone();
+        crafted.optimizer = OptimizerState::Adam {
+            tables: extra_table,
+        };
+        assert!(t.restore(crafted).is_err());
+        // The trainer still restores its own state.
+        assert!(t.restore(state).is_ok());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * the FNV-1a digest of the final embedding tables' bits;
 //! * the per-epoch mean-loss bits;
-//! * the per-epoch changed-cache-element counts (Figure 8(a)).
+//! * the per-epoch changed-cache-element counts (Figure 8(a));
+//! * the per-epoch repeat-ratio bits (Figure 7(a)).
 //!
 //! Any kernel rewrite on this path must reproduce them unchanged. If a
 //! change is *meant* to move the trajectory, re-pin the values and say so
@@ -30,6 +31,7 @@ struct Golden {
     tables_fnv: u64,
     loss_bits: [u64; EPOCHS],
     changed: [u64; EPOCHS],
+    repeat_bits: [u64; EPOCHS],
 }
 
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -78,10 +80,12 @@ fn run(ds: &Dataset, seed: u64) -> Golden {
     let mut trainer = Trainer::new(model, sampler, ds, config);
     let mut loss_bits = [0u64; EPOCHS];
     let mut changed = [0u64; EPOCHS];
+    let mut repeat_bits = [0u64; EPOCHS];
     for e in 0..EPOCHS {
         let stats = trainer.train_epoch();
         loss_bits[e] = stats.mean_loss.to_bits();
         changed[e] = stats.changed_cache_elements;
+        repeat_bits[e] = stats.repeat_ratio.to_bits();
     }
     let tables_fnv = fnv1a(
         trainer
@@ -94,6 +98,7 @@ fn run(ds: &Dataset, seed: u64) -> Golden {
         tables_fnv,
         loss_bits,
         changed,
+        repeat_bits,
     }
 }
 
@@ -111,6 +116,11 @@ fn sequential_nscaching_trajectory_matches_the_pinned_golden() {
                     4609240370956968776,
                 ],
                 changed: [10352, 9898, 9738],
+                repeat_bits: [
+                    4574336165517728591,
+                    4581662020911584597,
+                    4583823748732722435,
+                ],
             },
         ),
         (
@@ -123,6 +133,11 @@ fn sequential_nscaching_trajectory_matches_the_pinned_golden() {
                     4609335213570615068,
                 ],
                 changed: [10307, 10081, 9854],
+                repeat_bits: [
+                    4575957461383581969,
+                    4579800533065604792,
+                    4583023108798967681,
+                ],
             },
         ),
     ];
